@@ -8,11 +8,10 @@
 //! ```
 //!
 //! Spawns and owns the workers (one shared store, one Unix socket per
-//! worker), routes cells by rendezvous hashing with inline failover,
-//! heartbeats every worker, restarts the dead with seeded backoff,
-//! quarantines crash-loopers, and replays the dispatch journal so a
-//! `kill -9` of any worker loses zero cells. SIGTERM drains the fleet
-//! one worker at a time.
+//! worker), routes cells by rendezvous hashing with inline failover (so a
+//! `kill -9` of any worker loses zero cells), heartbeats every worker,
+//! restarts the dead with seeded backoff, and quarantines crash-loopers.
+//! SIGTERM drains the fleet one worker at a time.
 
 #[cfg(not(unix))]
 fn main() -> std::process::ExitCode {
@@ -28,7 +27,6 @@ fn main() -> std::process::ExitCode {
 #[cfg(unix)]
 mod unix {
     use fac_bench::fleet::{Fleet, FleetOptions};
-    use fac_bench::serve::server::Shutdown;
     use fac_bench::serve::Endpoint;
     use fac_bench::Args;
     use fac_sim::{ConfigError, SimError};
@@ -86,27 +84,6 @@ mod unix {
             }
             .into())),
             other => other,
-        }
-    }
-
-    /// Routes SIGTERM and SIGINT to the fleet's rolling-drain flag.
-    fn install_signal_handlers(shutdown: Shutdown) {
-        use std::sync::OnceLock;
-        static DRAIN: OnceLock<Shutdown> = OnceLock::new();
-        DRAIN.set(shutdown).ok();
-        extern "C" fn on_signal(_signum: i32) {
-            if let Some(drain) = DRAIN.get() {
-                drain.trigger();
-            }
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
         }
     }
 
@@ -199,7 +176,7 @@ mod unix {
                 return std::process::ExitCode::FAILURE;
             }
         };
-        install_signal_handlers(fleet.shutdown_handle());
+        fleet.shutdown_handle().trigger_on_signals();
         // Announce (and flush) after every worker answered its first
         // ping, so a script that started us can connect immediately.
         println!("campaign supervisor listening on {}", fleet.endpoint());

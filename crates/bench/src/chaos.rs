@@ -25,6 +25,7 @@
 //! protocol endpoint-to-endpoint).
 
 use crate::io::{Fs, RealFs};
+use crate::lock;
 use crate::serve::{Conn, Endpoint};
 use fac_core::rng::{splitmix64, SplitMix64};
 use fac_sim::SimError;
@@ -34,13 +35,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Recovers a mutex even if a holder panicked (fault-injection tests
-/// exercise exactly those paths; the guarded state stays consistent
-/// because every critical section is a few field updates).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Filesystem fault plans
@@ -288,134 +282,6 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.attempt = 0;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Kill-worker fault mode
-// ---------------------------------------------------------------------------
-
-/// Raw `kill(2)` with SIGKILL. The reaper targets supervisor-owned
-/// worker processes it holds no `Child` handle for, so std's
-/// `Child::kill` is not an option.
-fn sigkill(pid: i32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGKILL: i32 = 9;
-    if pid <= 0 {
-        // Never signal process groups (0, negative) by accident.
-        return false;
-    }
-    // SAFETY: kill(2) takes two plain integers and touches no memory.
-    unsafe { kill(pid, SIGKILL) == 0 }
-}
-
-/// A seeded kill-worker schedule for [`WorkerReaper`]: how many workers
-/// to SIGKILL and how long to idle between kills.
-#[derive(Debug, Clone)]
-pub struct KillPlan {
-    /// Seed for victim choice and delay jitter.
-    pub seed: u64,
-    /// Workers to kill before the reaper retires.
-    pub kills: u32,
-    /// Shortest idle between kills, milliseconds.
-    pub min_delay_ms: u64,
-    /// Longest idle between kills, milliseconds.
-    pub max_delay_ms: u64,
-}
-
-/// The kill-worker fault mode: a background thread that SIGKILLs a
-/// seeded-random live worker pid at seeded-random intervals, simulating
-/// a fleet whose processes keep dying under it. The victim set is
-/// sampled fresh before each kill via the `victims` closure, so the
-/// reaper always shoots a *currently live* worker, including ones the
-/// supervisor restarted since the last kill.
-pub struct WorkerReaper {
-    stop: Arc<AtomicBool>,
-    killed: Arc<AtomicU64>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerReaper {
-    /// Starts the reaper. `victims` returns the pids currently eligible
-    /// to die; an empty set just delays the next kill until a worker
-    /// shows up (or the reaper is stopped).
-    pub fn start(
-        plan: KillPlan,
-        victims: impl Fn() -> Vec<i32> + Send + 'static,
-    ) -> WorkerReaper {
-        let stop = Arc::new(AtomicBool::new(false));
-        let killed = Arc::new(AtomicU64::new(0));
-        let thread_stop = Arc::clone(&stop);
-        let thread_killed = Arc::clone(&killed);
-        let thread = std::thread::spawn(move || {
-            let mut rng = SplitMix64::new(plan.seed ^ 0xfac_dead_bee5_4ea9);
-            let (lo, hi) = (plan.min_delay_ms, plan.max_delay_ms.max(plan.min_delay_ms));
-            for _ in 0..plan.kills {
-                let delay = lo + rng.below(hi - lo + 1);
-                if !sleep_unless_stopped(&thread_stop, Duration::from_millis(delay)) {
-                    return;
-                }
-                loop {
-                    if thread_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let pids = victims();
-                    if !pids.is_empty() {
-                        let victim = pids[rng.below(pids.len() as u64) as usize];
-                        if sigkill(victim) {
-                            thread_killed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break;
-                    }
-                    if !sleep_unless_stopped(&thread_stop, Duration::from_millis(10)) {
-                        return;
-                    }
-                }
-            }
-        });
-        WorkerReaper { stop, killed, thread: Some(thread) }
-    }
-
-    /// Workers SIGKILLed so far — soak tests assert this is nonzero,
-    /// proving the run exercised the fault it claims to survive.
-    pub fn killed(&self) -> u64 {
-        self.killed.load(Ordering::Relaxed)
-    }
-
-    /// Stops the schedule (kills already delivered stay delivered) and
-    /// joins the thread.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            t.join().ok();
-        }
-    }
-}
-
-impl Drop for WorkerReaper {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// Sleeps `total` in short slices, returning `false` early if `stop`
-/// flips.
-fn sleep_unless_stopped(stop: &AtomicBool, total: Duration) -> bool {
-    let mut left = total;
-    while !left.is_zero() {
-        if stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        let slice = left.min(PUMP_POLL);
-        std::thread::sleep(slice);
-        left -= slice;
-    }
-    !stop.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -906,48 +772,6 @@ mod tests {
                 prop_assert!(ok, "post-reset delay {} = {} outside [{}, {}]", i, d, lo, hi);
             }
         }
-    }
-
-    /// The kill-worker fault mode actually kills: live victim processes
-    /// die by SIGKILL, the kill counter matches, and the schedule stops
-    /// once the budget is spent.
-    #[test]
-    fn worker_reaper_kills_live_pids() {
-        let spawn = || {
-            std::process::Command::new("sleep")
-                .arg("30")
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn sleep")
-        };
-        let mut children = vec![spawn(), spawn()];
-        let pids: Vec<i32> = children.iter().map(|c| c.id() as i32).collect();
-        let survivor = spawn();
-        let plan = KillPlan { seed: 11, kills: 2, min_delay_ms: 1, max_delay_ms: 5 };
-        // Feed the reaper one victim per kill (pids of processes we have
-        // already seen die must not be re-offered: on a real fleet the
-        // supervisor's live set provides that; here a queue does).
-        let queue = Arc::new(Mutex::new(pids));
-        let view = Arc::clone(&queue);
-        let reaper = WorkerReaper::start(plan, move || {
-            let mut q = lock(&view);
-            if q.is_empty() { Vec::new() } else { vec![q.remove(0)] }
-        });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !children.is_empty() {
-            assert!(std::time::Instant::now() < deadline, "reaper left a victim alive for 10s");
-            children.retain_mut(|c| c.try_wait().expect("try_wait").is_none());
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(reaper.killed(), 2, "both victims counted");
-        reaper.stop();
-        let mut survivor = survivor;
-        assert!(
-            survivor.try_wait().expect("try_wait").is_none(),
-            "reaper shot a pid outside the victim set"
-        );
-        survivor.kill().ok();
-        survivor.wait().ok();
     }
 
     /// A fault-free proxy is a transparent byte pipe for line traffic.

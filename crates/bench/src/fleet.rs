@@ -19,11 +19,11 @@
 //!   `quarantine_after` times within `quarantine_window_secs` is
 //!   quarantined (typed [`SimError::WorkerQuarantined`]) instead of
 //!   crash-looping forever.
-//! - **Orphaned-work recovery**: every forwarded cell is journaled
-//!   (`dispatch` / `done`) in an append-only JSONL journal with the
-//!   manifest's torn-tail discipline. When a worker dies — or the whole
-//!   supervisor restarts — incomplete cells are replayed against the
-//!   surviving workers, so a sweep never loses a cell.
+//! - **No lost cells**: a cell in flight on a worker that dies fails
+//!   over inline to the next-ranked live worker; a cell whose client lost
+//!   the supervisor itself is resent by the `ResilientClient` under the
+//!   same trace id; and the content-addressed store makes any recompute
+//!   harmless. So the supervisor keeps no dispatch state of its own.
 //! - **Rolling drain**: SIGTERM to the supervisor drains workers one at
 //!   a time, so serving capacity never hits zero until the end.
 //!
@@ -33,14 +33,14 @@
 //! tell it is not a single server, except that it survives `kill -9`.
 
 use crate::chaos::Backoff;
-use crate::manifest::read_journal_tail;
+use crate::lock;
 use crate::serve::client::Client;
 use crate::serve::proto::{
     parse_request, read_line, render_response, ErrorKind, LineEvent, Request, Response,
 };
 use crate::serve::server::Shutdown;
 use crate::serve::{cell_identity, Conn, Endpoint, Listener};
-use crate::telemetry::{http_response, read_request_head, request_path, Exposition};
+use crate::telemetry::{http_response, serve_http, Exposition};
 use fac_core::rng::splitmix64;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::Json;
@@ -60,11 +60,6 @@ const BOOT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// How long a drained worker gets to exit on SIGTERM before SIGKILL.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Recovers a mutex even if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Raw `kill(2)`: the drain path needs SIGTERM and the miss-budget path
 /// SIGKILL, both aimed at child pids std's `Child` API can also signal —
@@ -92,7 +87,7 @@ pub struct FleetOptions {
     pub worker_bin: PathBuf,
     /// The shared content-addressed store directory.
     pub store_dir: PathBuf,
-    /// Runtime directory: worker sockets, worker logs, dispatch journal.
+    /// Runtime directory: worker sockets and worker logs.
     pub run_dir: PathBuf,
     /// Heartbeat ping interval, milliseconds.
     pub heartbeat_ms: u64,
@@ -216,10 +211,8 @@ struct FleetCounters {
     requests: AtomicU64,
     /// Cell forwards attempted (including failover re-forwards).
     forwarded: AtomicU64,
-    /// Forwards that failed over to another worker inline.
-    failovers: AtomicU64,
-    /// Cells re-dispatched after a worker loss (inline failovers plus
-    /// journal replays) — the "no cell lost" counter.
+    /// Forwards that failed over inline to the next-ranked worker after
+    /// a transport fault — the "no cell lost" counter.
     redispatched: AtomicU64,
     /// Worker respawns.
     restarts: AtomicU64,
@@ -231,106 +224,12 @@ struct FleetCounters {
     unrouted: AtomicU64,
 }
 
-/// An in-flight dispatch recovered from the journal: the job id, the
-/// raw request line to replay, and the worker it was last forwarded to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Orphan {
-    job: String,
-    line: String,
-    worker: usize,
-}
-
-/// The append-only dispatch journal: `{"event":"dispatch","job":...,
-/// "worker":N,"line":<request line>}` when a cell is forwarded,
-/// `{"event":"done","job":...}` when any response came back. A job with
-/// a `dispatch` but no `done` at replay time was in flight on a dead
-/// process and gets re-dispatched.
-struct DispatchJournal {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-}
-
-impl DispatchJournal {
-    fn open(path: PathBuf) -> Result<DispatchJournal, SimError> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| SimError::io(&path.display().to_string(), e))?;
-        Ok(DispatchJournal { path, file: Mutex::new(file) })
-    }
-
-    fn append(&self, entry: &Json) {
-        let line = format!("{entry}\n");
-        let mut f = lock(&self.file);
-        // Dispatch durability is best-effort by design: a lost journal
-        // line costs at most one redundant recompute (the store and the
-        // client's own retries still guarantee the artifact).
-        if f.write_all(line.as_bytes()).and_then(|()| f.sync_data()).is_err() {
-            eprintln!("campaign supervisor: dispatch journal append failed");
-        }
-    }
-
-    fn dispatch(&self, job: &str, worker: usize, line: &str) {
-        let mut e = Json::obj();
-        e.set("event", Json::Str("dispatch".to_string()));
-        e.set("job", Json::Str(job.to_string()));
-        e.set("worker", Json::U64(worker as u64));
-        e.set("line", Json::Str(line.to_string()));
-        self.append(&e);
-    }
-
-    fn done(&self, job: &str) {
-        let mut e = Json::obj();
-        e.set("event", Json::Str("done".to_string()));
-        e.set("job", Json::Str(job.to_string()));
-        self.append(&e);
-    }
-
-    /// Replays the journal tail: jobs dispatched but never completed,
-    /// each with its last recorded request line and the worker it was
-    /// last forwarded to (so a death replays only *that* worker's
-    /// in-flight cells, not work still live elsewhere).
-    ///
-    /// Holds the append mutex for the whole read: `read_journal_tail`
-    /// durably truncates a torn tail, and doing that while a client
-    /// thread is mid-append would chop off committed lines. With the
-    /// lock held, the only torn tail it can see is crash residue.
-    fn incomplete(&self) -> Result<Vec<Orphan>, SimError> {
-        let _append_guard = lock(&self.file);
-        let mut open: Vec<Orphan> = Vec::new();
-        for entry in read_journal_tail(&self.path)? {
-            let job = entry.get("job").and_then(Json::as_str).unwrap_or("");
-            match entry.get("event").and_then(Json::as_str) {
-                Some("dispatch") => {
-                    let line = entry.get("line").and_then(Json::as_str).unwrap_or("");
-                    if job.is_empty() || line.is_empty() {
-                        continue;
-                    }
-                    let worker =
-                        entry.get("worker").and_then(Json::as_u64).unwrap_or(u64::MAX) as usize;
-                    open.retain(|o| o.job != job);
-                    open.push(Orphan {
-                        job: job.to_string(),
-                        line: line.to_string(),
-                        worker,
-                    });
-                }
-                Some("done") => open.retain(|o| o.job != job),
-                _ => {}
-            }
-        }
-        Ok(open)
-    }
-}
-
 /// State shared between the accept loop, per-client threads, the
 /// supervision thread, and the metrics listener.
 struct Shared {
     opts: FleetOptions,
     workers: Mutex<Vec<Worker>>,
     counters: FleetCounters,
-    journal: DispatchJournal,
     started: Instant,
     shutdown: Shutdown,
 }
@@ -363,10 +262,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Spawns the workers, replays the dispatch journal, and binds the
-    /// supervisor endpoint. Returns once every worker answered a ping
-    /// (or the boot deadline passed — a worker that cannot boot at all
-    /// is a startup error, not a runtime restart case).
+    /// Spawns the workers and, once every worker answered a ping, binds
+    /// the supervisor endpoint. A worker that cannot boot within the
+    /// deadline is a startup error, not a runtime restart case.
     ///
     /// # Errors
     ///
@@ -383,9 +281,6 @@ impl Fleet {
             .map_err(|e| SimError::io(&opts.run_dir.display().to_string(), e))?;
         std::fs::create_dir_all(&opts.store_dir)
             .map_err(|e| SimError::io(&opts.store_dir.display().to_string(), e))?;
-
-        let journal = DispatchJournal::open(opts.run_dir.join("dispatch.jsonl"))?;
-        let orphans = journal.incomplete()?;
 
         let mut workers = Vec::with_capacity(opts.workers);
         for index in 0..opts.workers {
@@ -414,52 +309,36 @@ impl Fleet {
             workers.push(worker);
         }
 
-        let listener = match Listener::bind(endpoint) {
-            Ok(l) => l,
-            Err(e) => {
-                kill_workers(&mut workers);
-                return Err(e);
-            }
-        };
-        let metrics = match &opts.metrics_addr {
-            None => None,
-            Some(addr) => {
-                let bound = std::net::TcpListener::bind(addr)
-                    .and_then(|l| l.set_nonblocking(true).map(|()| l));
-                match bound {
-                    Ok(l) => Some(l),
-                    Err(e) => {
-                        kill_workers(&mut workers);
-                        return Err(SimError::io(&format!("tcp:{addr}"), e));
-                    }
-                }
-            }
-        };
-
         let shared = Arc::new(Shared {
             opts,
             workers: Mutex::new(workers),
             counters: FleetCounters::default(),
-            journal,
             started: Instant::now(),
             shutdown: Shutdown::new(),
         });
 
-        if let Err(e) = wait_for_boot(&shared) {
-            kill_workers(&mut lock(&shared.workers));
-            return Err(e);
-        }
-
-        // Orphans from a previous supervisor incarnation: re-dispatch
-        // before serving, so a crashed-and-restarted fleet completes the
-        // cells it was killed holding.
-        if !orphans.is_empty() {
-            eprintln!(
-                "campaign supervisor: replaying {} incomplete dispatch(es) from the journal",
-                orphans.len()
-            );
-            redispatch(&shared, &orphans);
-        }
+        // Bind only once every worker answers, so the supervisor socket
+        // appearing means the fleet is ready to serve.
+        let bound = wait_for_boot(&shared).and_then(|()| {
+            let listener = Listener::bind(endpoint)?;
+            let metrics = shared
+                .opts
+                .metrics_addr
+                .as_ref()
+                .map(|addr| {
+                    std::net::TcpListener::bind(addr)
+                        .map_err(|e| SimError::io(&format!("tcp:{addr}"), e))
+                })
+                .transpose()?;
+            Ok((listener, metrics))
+        });
+        let (listener, metrics) = match bound {
+            Ok(bound) => bound,
+            Err(e) => {
+                kill_workers(&mut lock(&shared.workers));
+                return Err(e);
+            }
+        };
 
         let supervision = {
             let shared = Arc::clone(&shared);
@@ -484,16 +363,6 @@ impl Fleet {
         self.shared.shutdown.clone()
     }
 
-    /// The pids of currently-running workers — the chaos
-    /// [`crate::chaos::WorkerReaper`]'s victim feed in soak tests.
-    pub fn worker_pids(&self) -> Vec<i32> {
-        lock(&self.shared.workers)
-            .iter()
-            .filter(|w| w.child.is_some() && w.state.routable())
-            .map(|w| w.pid)
-            .collect()
-    }
-
     /// Serves until the shutdown flag is raised, then drains the
     /// workers one at a time (rolling: capacity never hits zero until
     /// the last worker) and exits.
@@ -504,9 +373,14 @@ impl Fleet {
     pub fn run(mut self) -> Result<(), SimError> {
         let label = self.endpoint().to_string();
         self.listener.set_nonblocking(true).map_err(|e| SimError::io(&label, e))?;
+        let metrics_thread = self.metrics.take().map(|listener| {
+            let shared = Arc::clone(&self.shared);
+            serve_http(listener, self.shared.shutdown.clone(), move |path| {
+                health_response(&shared, path)
+            })
+        });
         let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown.is_set() {
-            self.poll_metrics();
             match self.listener.accept() {
                 Ok(conn) => {
                     let shared = Arc::clone(&self.shared);
@@ -528,39 +402,18 @@ impl Fleet {
         if let Some(t) = self.supervision.take() {
             t.join().ok();
         }
+        if let Some(t) = metrics_thread {
+            t.join().ok();
+        }
         drain_workers(&self.shared);
         Ok(())
     }
-
-    /// Accepts any pending health/metrics HTTP connections (non-blocking)
-    /// and hands each to a short-lived thread. Accepted sockets are
-    /// blocking (they do not inherit the listener's O_NONBLOCK), so an
-    /// idle scraper must never be read on the accept-loop thread — it
-    /// would freeze the whole data plane.
-    fn poll_metrics(&self) {
-        let Some(listener) = &self.metrics else { return };
-        for _ in 0..16 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || serve_metrics_conn(&shared, stream));
-                }
-                Err(_) => break,
-            }
-        }
-    }
 }
 
-/// Serves one health/metrics HTTP connection with hard read/write
-/// timeouts, so a scraper that connects and sends nothing costs one
-/// thread for two seconds, not the fleet.
-fn serve_metrics_conn(shared: &Arc<Shared>, mut stream: std::net::TcpStream) {
-    let timeout = Some(Duration::from_secs(2));
-    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
-        return;
-    }
-    let head = read_request_head(&mut stream);
-    let response = match request_path(&head).unwrap_or("/metrics") {
+/// Answers one health/metrics request path: `/healthz`, `/readyz`
+/// (majority quorum), `/metrics`, or 404.
+fn health_response(shared: &Arc<Shared>, path: &str) -> String {
+    match path {
         "/healthz" => http_response("200 OK", "text/plain", "ok\n"),
         "/readyz" => {
             if shared.quorum() {
@@ -573,9 +426,7 @@ fn serve_metrics_conn(shared: &Arc<Shared>, mut stream: std::net::TcpStream) {
             http_response("200 OK", "text/plain; version=0.0.4", &fleet_exposition(shared))
         }
         _ => http_response("404 Not Found", "text/plain", "not found\n"),
-    };
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    }
 }
 
 /// Spawns (or respawns) a worker process onto its socket, stdout/stderr
@@ -732,10 +583,6 @@ fn forward_line(endpoint: &Endpoint, line: &str, deadline: Duration) -> Result<S
 fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
     let Request::Cell(cell) = req else { unreachable!("route_cell takes cells") };
     let key = route_key(&cell.workload, cell.sw, cell.scale, &cell.config);
-    let job = cell
-        .trace_id
-        .clone()
-        .unwrap_or_else(|| format!("cell.{:#018x}", fnv1a(FNV_OFFSET, line.as_bytes())));
     let deadline = Duration::from_secs(shared.opts.request_timeout_secs);
 
     let total = lock(&shared.workers).len();
@@ -754,13 +601,10 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
         if attempts > 1 {
             // This forward is a re-dispatch of a cell a lost worker was
             // responsible for.
-            shared.bump(&shared.counters.failovers);
             shared.bump(&shared.counters.redispatched);
         }
-        shared.journal.dispatch(&job, index, line);
         match forward_line(&endpoint, line, deadline) {
             Ok(resp) => {
-                shared.journal.done(&job);
                 let mut workers = lock(&shared.workers);
                 workers[index].forwarded += 1;
                 return resp;
@@ -780,24 +624,6 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
         message: "no fleet worker reachable for this cell".to_string(),
         trace_id: cell.trace_id.clone(),
     })
-}
-
-/// Re-dispatches journal-recovered cells to the surviving workers.
-fn redispatch(shared: &Arc<Shared>, jobs: &[Orphan]) {
-    for orphan in jobs {
-        if shared.shutdown.is_set() {
-            return;
-        }
-        let Ok(req @ Request::Cell(_)) = parse_request(&orphan.line) else {
-            continue;
-        };
-        shared.bump(&shared.counters.redispatched);
-        let resp = route_cell(shared, &req, &orphan.line);
-        // The result lands in the shared store; the response line itself
-        // has no client anymore.
-        drop(resp);
-        shared.journal.done(&orphan.job);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -932,7 +758,6 @@ fn fleet_summary(shared: &Arc<Shared>) -> Json {
     doc.set("quorum", Json::Bool(shared.quorum()));
     doc.set("requests", get(&c.requests));
     doc.set("forwarded", get(&c.forwarded));
-    doc.set("failovers", get(&c.failovers));
     doc.set("redispatched", get(&c.redispatched));
     doc.set("restarts", get(&c.restarts));
     doc.set("quarantined", get(&c.quarantined));
@@ -999,10 +824,9 @@ fn fleet_exposition(shared: &Arc<Shared>) -> String {
     );
     exp.counter("facfleet_requests_total", "Client requests accepted.", &[], get(&c.requests));
     exp.counter("facfleet_forwarded_total", "Cell forwards attempted.", &[], get(&c.forwarded));
-    exp.counter("facfleet_failovers_total", "Inline forward failovers.", &[], get(&c.failovers));
     exp.counter(
         "facfleet_redispatched_total",
-        "Cells re-dispatched after a worker loss (inline + journal replay).",
+        "Cell forwards failed over inline to another worker.",
         &[],
         get(&c.redispatched),
     );
@@ -1026,9 +850,8 @@ fn fleet_exposition(shared: &Arc<Shared>) -> String {
 // Supervision
 // ---------------------------------------------------------------------------
 
-/// The supervision loop: reap exits, heartbeat the living, respawn the
-/// dead (with backoff and crash-loop quarantine), and replay orphaned
-/// dispatches after every death.
+/// The supervision loop: reap exits, heartbeat the living, and respawn
+/// the dead (with backoff and crash-loop quarantine).
 fn supervise(shared: &Arc<Shared>) {
     let heartbeat = Duration::from_millis(shared.opts.heartbeat_ms.max(50));
     let mut next_beat = Instant::now() + heartbeat;
@@ -1045,82 +868,54 @@ fn supervise(shared: &Arc<Shared>) {
 /// Detects exited children, schedules respawns, performs due respawns,
 /// and quarantines crash-loopers.
 fn reap_and_respawn(shared: &Arc<Shared>) {
-    let mut deaths: Vec<usize> = Vec::new();
-    {
-        let mut workers = lock(&shared.workers);
-        for w in workers.iter_mut() {
-            // Reap: a dead child moves to Restarting with a backoff
-            // deadline.
-            if w.state.routable() {
-                let exited = match &mut w.child {
-                    Some(child) => child.try_wait().ok().flatten().is_some(),
-                    None => true,
-                };
-                if exited {
-                    eprintln!(
-                        "campaign supervisor: {} exited; restart scheduled",
-                        w.label()
-                    );
-                    w.child = None;
-                    w.state = WorkerState::Restarting;
-                    w.restart_at = Instant::now() + w.backoff.next_delay();
-                    deaths.push(w.index);
-                }
-            }
-            // Respawn when due, unless the crash-loop breaker trips.
-            if w.state == WorkerState::Restarting && Instant::now() >= w.restart_at {
-                let window = Duration::from_secs(shared.opts.quarantine_window_secs);
-                let now = Instant::now();
-                w.recent_restarts.retain(|t| now.duration_since(*t) <= window);
-                if w.recent_restarts.len() as u32 + 1 > shared.opts.quarantine_after {
-                    let err = SimError::WorkerQuarantined {
-                        worker: w.label(),
-                        restarts: w.recent_restarts.len() as u32 + 1,
-                        window_secs: shared.opts.quarantine_window_secs,
-                    };
-                    eprintln!("campaign supervisor: {err}");
-                    w.state = WorkerState::Quarantined;
-                    shared.bump(&shared.counters.quarantined);
-                    continue;
-                }
-                w.recent_restarts.push(now);
-                w.restarts += 1;
-                shared.bump(&shared.counters.restarts);
-                if let Err(e) = spawn_worker(&shared.opts, w) {
-                    eprintln!(
-                        "campaign supervisor: respawn of {} failed ({e}); retrying with backoff",
-                        w.label()
-                    );
-                    w.state = WorkerState::Restarting;
-                    w.restart_at = Instant::now() + w.backoff.next_delay();
-                } else {
-                    eprintln!("campaign supervisor: {} respawned (pid {})", w.label(), w.pid);
-                }
+    let mut workers = lock(&shared.workers);
+    for w in workers.iter_mut() {
+        // Reap: a dead child moves to Restarting with a backoff
+        // deadline.
+        if w.state.routable() {
+            let exited = match &mut w.child {
+                Some(child) => child.try_wait().ok().flatten().is_some(),
+                None => true,
+            };
+            if exited {
+                eprintln!(
+                    "campaign supervisor: {} exited; restart scheduled",
+                    w.label()
+                );
+                w.child = None;
+                w.state = WorkerState::Restarting;
+                w.restart_at = Instant::now() + w.backoff.next_delay();
             }
         }
-    }
-    // Every death may have orphaned in-flight cells: replay the journal
-    // tail and re-dispatch what never completed — but only the cells the
-    // *dead* workers were holding (the journal records the worker per
-    // dispatch; cells in flight on live workers will report their own
-    // `done`). Re-forwards can block up to the request timeout each, so
-    // they run off-thread: the supervision loop must keep heartbeating
-    // and reaping while recovery grinds.
-    if !deaths.is_empty() {
-        match shared.journal.incomplete() {
-            Ok(orphans) => {
-                let orphans: Vec<Orphan> =
-                    orphans.into_iter().filter(|o| deaths.contains(&o.worker)).collect();
-                if !orphans.is_empty() {
-                    eprintln!(
-                        "campaign supervisor: re-dispatching {} orphaned cell(s)",
-                        orphans.len()
-                    );
-                    let shared = Arc::clone(shared);
-                    std::thread::spawn(move || redispatch(&shared, &orphans));
-                }
+        // Respawn when due, unless the crash-loop breaker trips.
+        if w.state == WorkerState::Restarting && Instant::now() >= w.restart_at {
+            let window = Duration::from_secs(shared.opts.quarantine_window_secs);
+            let now = Instant::now();
+            w.recent_restarts.retain(|t| now.duration_since(*t) <= window);
+            if w.recent_restarts.len() as u32 + 1 > shared.opts.quarantine_after {
+                let err = SimError::WorkerQuarantined {
+                    worker: w.label(),
+                    restarts: w.recent_restarts.len() as u32 + 1,
+                    window_secs: shared.opts.quarantine_window_secs,
+                };
+                eprintln!("campaign supervisor: {err}");
+                w.state = WorkerState::Quarantined;
+                shared.bump(&shared.counters.quarantined);
+                continue;
             }
-            Err(e) => eprintln!("campaign supervisor: journal replay failed: {e}"),
+            w.recent_restarts.push(now);
+            w.restarts += 1;
+            shared.bump(&shared.counters.restarts);
+            if let Err(e) = spawn_worker(&shared.opts, w) {
+                eprintln!(
+                    "campaign supervisor: respawn of {} failed ({e}); retrying with backoff",
+                    w.label()
+                );
+                w.state = WorkerState::Restarting;
+                w.restart_at = Instant::now() + w.backoff.next_delay();
+            } else {
+                eprintln!("campaign supervisor: {} respawned (pid {})", w.label(), w.pid);
+            }
         }
     }
 }
@@ -1235,35 +1030,5 @@ mod tests {
                 route_order(key, 3).into_iter().filter(|&i| i != dead).collect();
             assert_eq!(order[0], survivor_order[0], "losing a non-primary moved the primary");
         }
-    }
-
-    #[test]
-    fn dispatch_journal_replays_incomplete_jobs() {
-        let dir = std::env::temp_dir().join(format!("fac_fleetj_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = DispatchJournal::open(dir.join("dispatch.jsonl")).unwrap();
-        j.dispatch("job-a", 0, "{\"cmd\":\"cell\"}");
-        j.dispatch("job-b", 1, "{\"cmd\":\"cell\"}");
-        j.done("job-a");
-        j.dispatch("job-c", 2, "{\"cmd\":\"cell\"}");
-        // job-b re-dispatched after a failover, then completed.
-        j.dispatch("job-b", 2, "{\"cmd\":\"cell\"}");
-        j.done("job-b");
-        // job-d failed over 0 → 1 and is still open: replay must record
-        // worker 1, so only *that* worker's death re-dispatches it.
-        j.dispatch("job-d", 0, "{\"cmd\":\"cell\"}");
-        j.dispatch("job-d", 1, "{\"cmd\":\"cell\"}");
-        let open = j.incomplete().unwrap();
-        assert_eq!(
-            open,
-            vec![
-                Orphan { job: "job-c".to_string(), line: "{\"cmd\":\"cell\"}".to_string(), worker: 2 },
-                Orphan { job: "job-d".to_string(), line: "{\"cmd\":\"cell\"}".to_string(), worker: 1 },
-            ]
-        );
-        let dead_only: Vec<&Orphan> = open.iter().filter(|o| o.worker == 2).collect();
-        assert_eq!(dead_only.len(), 1, "a worker-2 death replays job-c alone");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -51,6 +51,14 @@ pub mod telemetry;
 /// Instruction budget per simulation (well above any Paper-scale kernel).
 pub const MAX_INSTS: u64 = 400_000_000;
 
+/// Locks a mutex, recovering the data from a poisoned lock: a panic on one
+/// serving thread must never wedge every other one. The guarded state
+/// stays consistent because every critical section in the serving stack
+/// is a few straight-line field updates.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A built program plus its workload metadata.
 pub struct Bench {
     /// Workload descriptor.

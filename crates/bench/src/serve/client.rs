@@ -19,6 +19,7 @@ use super::{
 };
 use crate::chaos::Backoff;
 use crate::telemetry::Hist;
+use crate::lock;
 use fac_sim::obs::Json;
 use fac_sim::{config_fingerprint, program_fingerprint, SimError};
 use fac_workloads::Scale;
@@ -223,7 +224,7 @@ impl CircuitBreaker {
     /// `Probe` verdict is handed to exactly one caller per open→half-open
     /// transition.
     pub fn admit(&self) -> Admission {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         match *state {
             BreakerState::Closed { .. } => Admission::Admitted,
             BreakerState::Open { since } => {
@@ -242,7 +243,7 @@ impl CircuitBreaker {
     /// Records a success: the circuit closes and the failure count
     /// resets, whatever state it was in.
     pub fn note_success(&self) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         *state = BreakerState::Closed { failures: 0 };
     }
 
@@ -250,7 +251,7 @@ impl CircuitBreaker {
     /// failed half-open probe snaps straight back to open — one bad
     /// probe is proof enough that the endpoint is still down.
     pub fn note_failure(&self) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         match *state {
             BreakerState::Closed { failures } => {
                 let failures = failures + 1;

@@ -47,9 +47,10 @@ use super::{
     catalog_fingerprint, cell_identity, config_by_name, scale_name, sw_support, Conn, Endpoint,
     Listener, CONFIG_NAMES,
 };
+use crate::lock;
 use crate::par::{JobSet, RunOptions};
 use crate::serve::proto::CellRequest;
-use crate::telemetry::{Exposition, Hist};
+use crate::telemetry::{http_response, serve_http, Exposition, Hist};
 use fac_asm::Program;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::{Json, JsonlWriter};
@@ -60,7 +61,7 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often blocked reads and the accept loop re-check the shutdown
@@ -69,15 +70,6 @@ const POLL: Duration = Duration::from_millis(50);
 /// A stalled client gets this long to absorb a response before the
 /// connection is dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Locks a mutex, recovering the data from a poisoned lock: a panic on
-/// one connection thread must never wedge the whole server (the data the
-/// server guards — counters, the in-flight map, the store handle — stays
-/// consistent because every critical section is a few straight-line
-/// statements).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Server policy knobs.
 #[derive(Debug, Clone)]
@@ -167,6 +159,31 @@ impl Shutdown {
     /// `true` once a drain has been requested.
     pub fn is_set(&self) -> bool {
         self.0.load(Ordering::SeqCst)
+    }
+
+    /// Routes SIGTERM and SIGINT to this flag, for the lifetime of the
+    /// process (the first flag installed wins). Raw `signal(2)` FFI: the
+    /// handler's flag store is a single atomic write, which is
+    /// async-signal-safe, and std has no signal API.
+    #[cfg(unix)]
+    pub fn trigger_on_signals(&self) {
+        static DRAIN: std::sync::OnceLock<Shutdown> = std::sync::OnceLock::new();
+        DRAIN.set(self.clone()).ok();
+        extern "C" fn on_signal(_signum: i32) {
+            if let Some(drain) = DRAIN.get() {
+                drain.trigger();
+            }
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        extern "C" {
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        // SAFETY: `on_signal` only performs an atomic store.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
+        }
     }
 }
 
@@ -560,8 +577,7 @@ impl Server {
         // while cell traffic is being shed.
         let metrics_thread = self.metrics.take().map(|listener| {
             let shared = Arc::clone(&self.shared);
-            let shutdown = self.shutdown.clone();
-            std::thread::spawn(move || serve_metrics(&listener, &shared, &shutdown))
+            serve_http(listener, self.shutdown.clone(), move |path| health_response(&shared, path))
         });
         // The store scrubber is a low-priority anti-entropy walk: it
         // takes the store lock one frame at a time and yields between
@@ -957,64 +973,35 @@ fn run_scrubber(shared: &Arc<Shared>, shutdown: &Shutdown) {
     }
 }
 
-/// The metrics accept loop: one scrape at a time, read-only, polling the
-/// same shutdown flag as the main listener so a drain stops both.
-fn serve_metrics(listener: &std::net::TcpListener, shared: &Arc<Shared>, shutdown: &Shutdown) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shutdown.is_set() {
-        match listener.accept() {
-            Ok((stream, _)) => serve_scrape(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Answers one HTTP scrape. Minimal HTTP/1.0: the request head is drained
-/// (bounded, never parsed beyond its end), the path is dispatched to
-/// `/healthz`, `/readyz`, or the exposition, and the body is written with
-/// `Connection: close`. Nothing a scraper sends can mutate server state —
-/// the listener has no write path.
-fn serve_scrape(mut stream: std::net::TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let head = crate::telemetry::read_request_head(&mut stream);
-    let response = match crate::telemetry::request_path(&head).unwrap_or("/metrics") {
+/// Answers one health/metrics request path: `/healthz`, `/readyz`, or
+/// the exposition. Nothing a scraper sends can mutate server state.
+fn health_response(shared: &Arc<Shared>, path: &str) -> String {
+    match path {
         // Liveness: the process answers, full stop. A degraded store or
         // a full queue is a reason to stop *routing*, not to restart.
-        "/healthz" => crate::telemetry::http_response("200 OK", "text/plain", "ok\n"),
+        "/healthz" => http_response("200 OK", "text/plain", "ok\n"),
         "/readyz" => {
-            let shedding = shared.admitted.load(Ordering::SeqCst) >= shared.opts.max_queue;
-            let degraded = shared.store_degraded();
-            if shedding {
-                crate::telemetry::http_response(
+            if shared.admitted.load(Ordering::SeqCst) >= shared.opts.max_queue {
+                http_response(
                     "503 Service Unavailable",
                     "text/plain",
                     "shedding: admission queue full\n",
                 )
-            } else if degraded {
-                crate::telemetry::http_response(
+            } else if shared.store_degraded() {
+                http_response(
                     "503 Service Unavailable",
                     "text/plain",
                     "degraded: store not accepting writes\n",
                 )
             } else {
-                crate::telemetry::http_response("200 OK", "text/plain", "ready\n")
+                http_response("200 OK", "text/plain", "ready\n")
             }
         }
-        // Any other path (including a garbled head) gets the exposition,
-        // as before: a scraper that sent a bare request line still
-        // deserves its metrics.
-        _ => {
-            let body = exposition(shared);
-            crate::telemetry::http_response("200 OK", "text/plain; version=0.0.4", &body)
-        }
-    };
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+        // Any other path (including a garbled head) gets the exposition:
+        // a scraper that sent a bare request line still deserves its
+        // metrics.
+        _ => http_response("200 OK", "text/plain; version=0.0.4", &exposition(shared)),
+    }
 }
 
 /// Everything resolved about a cell before simulation: the plan the
@@ -1911,17 +1898,6 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    #[test]
-    fn request_path_parses_the_target() {
-        use crate::telemetry::request_path;
-        assert_eq!(request_path(b"GET /readyz HTTP/1.0\r\n\r\n"), Some("/readyz"));
-        assert_eq!(request_path(b"GET /readyz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n"), Some("/readyz"));
-        assert_eq!(request_path(b"POST /metrics HTTP/1.0\r\n\r\nhits=9"), Some("/metrics"));
-        assert_eq!(request_path(b"GET\r\n\r\n"), None);
-        assert_eq!(request_path(b"\xff\xfe"), None);
-        assert_eq!(request_path(b""), None);
-    }
-
     /// Persistent write failure flips the store into degraded mode
     /// (visible in stats, the exposition, and `/readyz`), cells keep
     /// getting answered throughout, and a successful probe write brings
@@ -2026,5 +2002,33 @@ mod tests {
     fn ready_healthz(addr: std::net::SocketAddr) -> bool {
         let (head, body) = http_get(addr, "/healthz");
         head.starts_with("HTTP/1.0 200 OK") && body == "ok\n"
+    }
+
+    /// A scraper that connects to `--metrics` and sends nothing must not
+    /// hold up a concurrent probe: every connection is read on its own
+    /// thread, so `/healthz` answers well inside the idle socket's 2 s
+    /// read timeout.
+    #[test]
+    fn idle_metrics_connection_does_not_delay_healthz() {
+        let dir = temp_dir("idle_scrape");
+        let mut opts = test_opts(&dir);
+        opts.metrics_addr = Some("127.0.0.1:0".to_string());
+        let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
+        let metrics = server.metrics_addr().expect("metrics listener bound");
+        let shutdown = server.shutdown_handle();
+        let handle = std::thread::spawn(move || server.run());
+
+        let idle = std::net::TcpStream::connect(metrics).unwrap();
+        // Let the accept loop pick up the idle connection first.
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        assert!(ready_healthz(metrics));
+        let waited = asked.elapsed();
+        assert!(waited < Duration::from_millis(500), "/healthz took {waited:?} behind an idle scraper");
+        drop(idle);
+
+        shutdown.trigger();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -26,7 +26,13 @@
 //! bounded by 2× at any scale — the right trade for latency, where the
 //! interesting signal is the order of magnitude of the tail.
 
+use crate::serve::server::Shutdown;
 use fac_sim::obs::{Json, MetricsRegistry, RegisterMetrics};
+use std::io::Write as _;
+use std::net::TcpListener;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Number of log2 buckets: bucket 0 holds values in `[0, 1]`, bucket
 /// `i >= 1` holds `(2^(i-1), 2^i]`, and bucket 64 holds everything above
@@ -314,7 +320,7 @@ pub fn http_response(status: &str, content_type: &str, body: &str) -> String {
 /// at the blank line) and returns the raw bytes read. Never fails: a
 /// scraper that sent only a bare request line — or nothing parseable —
 /// still deserves an answer, so timeouts and errors just end the drain.
-pub fn read_request_head(stream: &mut impl std::io::Read) -> Vec<u8> {
+fn read_request_head(stream: &mut impl std::io::Read) -> Vec<u8> {
     let mut head = [0u8; 4096];
     let mut len = 0;
     while len < head.len() {
@@ -335,13 +341,61 @@ pub fn read_request_head(stream: &mut impl std::io::Read) -> Vec<u8> {
 /// The path component of an HTTP request head's first line, if one is
 /// present (`GET /readyz HTTP/1.0` → `/readyz`). Query strings are
 /// stripped: `/readyz?verbose=1` still means `/readyz`.
-pub fn request_path(head: &[u8]) -> Option<&str> {
+fn request_path(head: &[u8]) -> Option<&str> {
     let head = std::str::from_utf8(head).ok()?;
     let line = head.lines().next()?;
     let mut parts = line.split_whitespace();
     let _method = parts.next()?;
     let target = parts.next()?;
     Some(target.split('?').next().unwrap_or(target))
+}
+
+/// Serves the read-only health/metrics HTTP listener (`--metrics`) of the
+/// campaign server and the fleet supervisor until `shutdown` is raised,
+/// on a thread of its own (returned for joining; it joins every
+/// connection thread before it ends). The accept loop never
+/// reads a socket itself: every connection gets a short-lived thread with
+/// 2 s read/write timeouts, so a scraper that connects and sends nothing
+/// costs one thread for two seconds and never delays a concurrent probe.
+/// `respond` maps the request path (`/metrics` when the head carries none)
+/// to a complete [`http_response`]; nothing a scraper sends can reach any
+/// other state.
+pub fn serve_http<F>(listener: TcpListener, shutdown: Shutdown, respond: F) -> JoinHandle<()>
+where
+    F: Fn(&str) -> String + Send + Sync + 'static,
+{
+    let respond = Arc::new(respond);
+    std::thread::spawn(move || {
+        if listener.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        while !shutdown.is_set() {
+            conns.retain(|c| !c.is_finished());
+            let Ok((mut stream, _)) = listener.accept() else {
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            };
+            let respond = Arc::clone(&respond);
+            conns.push(std::thread::spawn(move || {
+                let timeout = Some(Duration::from_secs(2));
+                // Some platforms hand out accepted sockets that inherit
+                // the listener's O_NONBLOCK; the timeouts need blocking.
+                let ready = stream
+                    .set_nonblocking(false)
+                    .and_then(|()| stream.set_read_timeout(timeout))
+                    .and_then(|()| stream.set_write_timeout(timeout));
+                if ready.is_ok() {
+                    let head = read_request_head(&mut stream);
+                    let response = respond(request_path(&head).unwrap_or("/metrics"));
+                    let _ = stream.write_all(response.as_bytes()).and_then(|()| stream.flush());
+                }
+            }));
+        }
+        for c in conns {
+            c.join().ok();
+        }
+    })
 }
 
 #[cfg(test)]
@@ -355,6 +409,16 @@ mod tests {
         assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
         assert!(r.contains("Content-Length: 3\r\n"), "{r}");
         assert!(r.ends_with("\r\n\r\nok\n"), "{r}");
+    }
+
+    #[test]
+    fn request_path_parses_the_target() {
+        assert_eq!(request_path(b"GET /readyz HTTP/1.0\r\n\r\n"), Some("/readyz"));
+        assert_eq!(request_path(b"GET /readyz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n"), Some("/readyz"));
+        assert_eq!(request_path(b"POST /metrics HTTP/1.0\r\n\r\nhits=9"), Some("/metrics"));
+        assert_eq!(request_path(b"GET\r\n\r\n"), None);
+        assert_eq!(request_path(b"\xff\xfe"), None);
+        assert_eq!(request_path(b""), None);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   worker serves cache hits.
 //! - A worker killed on every respawn trips the crash-loop breaker and
 //!   is quarantined; the remaining workers keep serving.
-//! - A supervisor killed -9 mid-cell replays its dispatch journal on
-//!   restart and re-dispatches the orphaned work.
+//! - The whole fleet (supervisor and workers) killed -9 mid-sweep and
+//!   restarted on the same directories finishes the sweep
+//!   byte-identically, reusing every cell committed before the kill.
 //! - SIGTERM drains the fleet one worker at a time to a clean exit 0.
 //! - `store_scrub` detects a flipped byte, quarantines the frame with
 //!   `component=scrubber` provenance, and a second pass after recompute
@@ -86,6 +87,62 @@ fn worker_rows(fleet: &Json) -> Vec<(u64, String)> {
         .collect()
 }
 
+/// Polls `fleet-stats` until exactly one worker row reports a cell in
+/// flight, and returns that worker's pid.
+fn busy_worker_pid(sock: &Path, secs: u64) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    loop {
+        let fleet = fleet_stats(sock);
+        if let Some(Json::Arr(rows)) = fleet.get("rows") {
+            let busy: Vec<u64> =
+                rows.iter().filter(|r| leaf(r, "inflight") >= 1).map(|r| leaf(r, "pid")).collect();
+            if let [pid] = busy[..] {
+                return pid;
+            }
+        }
+        assert!(Instant::now() < deadline, "no worker ever held the parked cell: {fleet}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The artifact of a fault-free sweep against a lone server on its own
+/// store. The supervisor is a transparent proxy, so a fleet's artifact
+/// must match this byte for byte.
+fn reference_artifact(base: &Path) -> PathBuf {
+    let ref_sock = base.join("ref.sock");
+    let mut ref_server = Command::new(env!("CARGO_BIN_EXE_campaign_server"))
+        .arg("--listen")
+        .arg(format!("unix:{}", ref_sock.display()))
+        .arg("--store-dir")
+        .arg(base.join("ref-store"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while std::os::unix::net::UnixStream::connect(&ref_sock).is_err() {
+        assert!(Instant::now() < deadline, "reference server never bound");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let reference = base.join("reference.json");
+    let out = sweep(&ref_sock, &reference);
+    assert!(out.status.success(), "reference sweep failed: {out:?}");
+    send_signal(u64::from(ref_server.id()), "TERM");
+    ref_server.wait().unwrap();
+    reference
+}
+
+/// The `N` of a sweep's `cache hits: N/38` summary line.
+fn cache_hits(out: &std::process::Output) -> usize {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout
+        .split("cache hits: ")
+        .nth(1)
+        .and_then(|rest| rest.split('/').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no cache-hits line in {stdout}"))
+}
+
 /// A client sweep against `sock`, smoke scale, artifact to `json`.
 fn sweep(sock: &Path, json: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_campaign_client"))
@@ -118,23 +175,6 @@ fn pid_alive(pid: u64) -> bool {
     Command::new("kill").args(["-0", &pid.to_string()]).status().unwrap().success()
 }
 
-/// Polls the dispatch journal until the parked `__sleep` cell's
-/// `dispatch` entry appears, and returns the worker index it names.
-fn sleep_dispatch_worker(journal: &Path, secs: u64) -> usize {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    loop {
-        let text = std::fs::read_to_string(journal).unwrap_or_default();
-        for line in text.lines() {
-            if line.contains("\"dispatch\"") && line.contains("__sleep") {
-                let doc = fac_sim::obs::json::parse(line).unwrap();
-                return doc.get("worker").and_then(Json::as_u64).expect("worker index") as usize;
-            }
-        }
-        assert!(Instant::now() < deadline, "sleep cell never journaled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 fn wait_exit(child: &mut Child, secs: u64) -> std::process::ExitStatus {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
@@ -154,30 +194,7 @@ fn wait_exit(child: &mut Child, secs: u64) -> std::process::ExitStatus {
 fn sigkill_worker_mid_sweep_loses_no_cells() {
     let base = temp_dir("kill");
     let sock = base.join("sup.sock");
-
-    // Reference: a fault-free sweep against a lone server on its own
-    // store. The supervisor is a transparent proxy, so its artifact must
-    // match this byte for byte.
-    let ref_sock = base.join("ref.sock");
-    let mut ref_server = Command::new(env!("CARGO_BIN_EXE_campaign_server"))
-        .arg("--listen")
-        .arg(format!("unix:{}", ref_sock.display()))
-        .arg("--store-dir")
-        .arg(base.join("ref-store"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while std::os::unix::net::UnixStream::connect(&ref_sock).is_err() {
-        assert!(Instant::now() < deadline, "reference server never bound");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let reference = base.join("reference.json");
-    let out = sweep(&ref_sock, &reference);
-    assert!(out.status.success(), "reference sweep failed: {out:?}");
-    send_signal(u64::from(ref_server.id()), "TERM");
-    ref_server.wait().unwrap();
+    let reference = reference_artifact(&base);
 
     // A slow restart backoff keeps the killed worker down long enough
     // that the sweep must route around it — the loss is exercised, not
@@ -185,6 +202,19 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
     // parked on the victim.
     let mut sup =
         spawn_fleet(&base, &sock, 3, &["--test-cells", "--backoff-base-ms", "2000"]);
+
+    // Park a slow test cell on the idle fleet: the one worker whose
+    // `inflight` lane shows it is the victim. Killing *that* worker
+    // guarantees the kill lands on a dispatched cell, which the
+    // supervisor must fail over to a survivor.
+    let cell_sock = format!("unix:{}", sock.display());
+    let parked = std::thread::spawn(move || {
+        Command::new(env!("CARGO_BIN_EXE_campaign_client"))
+            .args(["--connect", &cell_sock, "--cell", "__sleep:5000", "--config", "fac"])
+            .output()
+            .unwrap()
+    });
+    let victim = busy_worker_pid(&sock, 60);
 
     let sweep_json = base.join("sweep.json");
     let sweep_sock = sock.clone();
@@ -196,20 +226,7 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
         assert!(Instant::now() < deadline, "no cells committed before deadline");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // Park a slow test cell; its journal entry names the worker holding
-    // it. Killing *that* worker guarantees the kill orphans a dispatched
-    // cell — the supervisor only replays the dead worker's in-flight
-    // work, so a victim chosen blind could die idle and leave nothing to
-    // re-dispatch.
-    let cell_sock = format!("unix:{}", sock.display());
-    let parked = std::thread::spawn(move || {
-        Command::new(env!("CARGO_BIN_EXE_campaign_client"))
-            .args(["--connect", &cell_sock, "--cell", "__sleep:5000", "--config", "fac"])
-            .output()
-            .unwrap()
-    });
-    let victim_index = sleep_dispatch_worker(&base.join("run").join("dispatch.jsonl"), 60);
-    let victim = worker_rows(&fleet_stats(&sock))[victim_index].0;
+    assert!(!parked.is_finished(), "the parked cell finished before the kill");
     send_signal(victim, "KILL");
     let out = sweeper.join().unwrap();
     assert!(out.status.success(), "sweep across the kill failed: {out:?}");
@@ -319,49 +336,57 @@ fn crash_looping_worker_is_quarantined() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Kill -9 the whole fleet (supervisor and workers) while a cell is in
-/// flight: the restarted supervisor finds the dispatch in its journal
-/// with no completion, replays it, and finishes the orphaned work.
+/// Kill -9 the whole fleet (supervisor and workers) mid-sweep, restart
+/// it on the same run and store directories, and sweep again: the
+/// artifact is byte-identical to the fault-free run, and every cell the
+/// dead fleet committed is answered from the store. No dispatch state
+/// survives the kill; the content-addressed store is the recovery.
 #[test]
-fn journal_replay_redispatches_orphaned_cells() {
-    let base = temp_dir("journal");
+fn whole_fleet_kill_mid_sweep_resumes_from_the_store() {
+    let base = temp_dir("whole");
     let sock = base.join("sup.sock");
-    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
+    let store = base.join("store");
+    let reference = reference_artifact(&base);
+    let mut sup = spawn_fleet(&base, &sock, 2, &[]);
 
-    // Park a slow cell in flight, then murder everything mid-cell.
-    let cell_sock = format!("unix:{}", sock.display());
-    let doomed = std::thread::spawn(move || {
-        Command::new(env!("CARGO_BIN_EXE_campaign_client"))
-            .args(["--connect", &cell_sock, "--cell", "__sleep:5000", "--config", "fac"])
-            .output()
-            .unwrap()
-    });
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let text =
-            std::fs::read_to_string(base.join("run").join("dispatch.jsonl")).unwrap_or_default();
-        if text.contains("\"dispatch\"") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "cell never journaled");
-        std::thread::sleep(Duration::from_millis(20));
+    let mut client = Command::new(env!("CARGO_BIN_EXE_campaign_client"))
+        .arg("--connect")
+        .arg(format!("unix:{}", sock.display()))
+        .args(["--smoke", "--json"])
+        .arg(base.join("killed.json"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while cell_files(&store).len() < 3 {
+        assert!(Instant::now() < deadline, "no cells committed before deadline");
+        std::thread::sleep(Duration::from_millis(10));
     }
     let pids = worker_rows(&fleet_stats(&sock));
+    let committed = cell_files(&store).len();
+    assert!(committed < 38, "the sweep finished before the kill");
     send_signal(u64::from(sup.id()), "KILL");
     for (pid, _) in &pids {
         send_signal(*pid, "KILL");
     }
+    // The client dies with its fleet, so only the re-run below can
+    // finish the sweep.
+    client.kill().ok();
+    client.wait().unwrap();
     sup.wait().unwrap();
-    let _ = doomed.join().unwrap(); // the client lost its fleet; that's the point
 
-    // Restart on the same run and store directories. Boot replays the
-    // journal tail: the orphaned cell is re-dispatched (and, being a
-    // sleep cell, recomputed) before the endpoint is announced.
-    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
-    let fleet = fleet_stats(&sock);
-    assert!(leaf(&fleet, "redispatched") >= 1, "orphan not re-dispatched: {fleet}");
-    let err = std::fs::read_to_string(base.join("sup.err")).unwrap();
-    assert!(err.contains("replaying 1 incomplete dispatch"), "{err}");
+    let mut sup = spawn_fleet(&base, &sock, 2, &[]);
+    let resumed = base.join("resumed.json");
+    let out = sweep(&sock, &resumed);
+    assert!(out.status.success(), "sweep after the restart failed: {out:?}");
+    assert_eq!(
+        std::fs::read(&reference).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "artifact after a whole-fleet kill -9 differs from the fault-free run"
+    );
+    let hits = cache_hits(&out);
+    assert!(hits >= committed, "{hits} hits, but {committed} cells were committed before the kill");
 
     send_signal(u64::from(sup.id()), "TERM");
     assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");

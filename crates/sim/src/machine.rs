@@ -236,7 +236,7 @@ pub struct Machine {
 }
 
 /// The single step-budget rule every executor shares — the detailed
-/// [`Session`], [`Machine::run_traced`], the [`crate::Oracle`], the
+/// [`Session`] (and [`Machine::run_traced`] on it), the [`crate::Oracle`], the
 /// [`crate::Lockstep`] checker, the profiler, and the fast functional tier
 /// in [`crate::tier`]. Called with the number of instructions already
 /// retired *before* attempting the next one: a program that halts at
@@ -459,32 +459,12 @@ impl Machine {
         &self,
         program: &Program,
     ) -> Result<(SimReport, Vec<crate::TracedInsn>), SimError> {
-        self.config.validate()?;
-        let mut state = ArchState::new(program);
-        state.strict_mem = self.config.strict_mem;
-        let mut pipe = Pipeline::new(self.config);
-        let mut stats = SimStats::default();
-        let mut checker = self.checker();
+        let mut session = self.begin(program)?;
         let mut trace = Vec::new();
-
-        while !state.halted {
-            check_budget(stats.insts, self.max_insts)?;
-            let ex = state.step(program)?;
-            stats.insts += 1;
-            record_ref(&mut stats, &ex);
-            let timing = pipe.advance_traced(&ex, &mut stats);
-            if let Some(chk) = &mut checker {
-                chk.check_insn(&ex, &timing)?;
-            }
-            trace.push(crate::TracedInsn { pc: ex.pc, insn: ex.insn, timing });
+        while let Some(traced) = session.step_timed(&mut NullObserver)? {
+            trace.push(traced);
         }
-
-        stats.cycles = pipe.finish(&mut stats);
-        stats.mem_footprint = state.mem.footprint();
-        if let Some(chk) = &checker {
-            chk.check_finish(&stats, &pipe)?;
-        }
-        Ok((SimReport { program: program.name.clone(), stats, final_state: state }, trace))
+        Ok((session.finish()?, trace))
     }
 }
 
@@ -561,20 +541,31 @@ impl<'p> Session<'p> {
     ///
     /// Same as [`Machine::run`].
     pub fn step_observed<O: Observer>(&mut self, obs: &mut O) -> Result<bool, SimError> {
+        Ok(self.step_timed(obs)?.is_some())
+    }
+
+    /// The one step of every driver loop: budget check, functional step,
+    /// reference statistics, timing, and the invariant check. Returns the
+    /// instruction with its pipeline timing, or `None` once halted.
+    /// Always inlined, so [`Session::step_observed`] never builds the
+    /// record it discards.
+    #[inline(always)]
+    fn step_timed<O: Observer>(
+        &mut self,
+        obs: &mut O,
+    ) -> Result<Option<crate::TracedInsn>, SimError> {
         if self.state.halted {
-            return Ok(false);
+            return Ok(None);
         }
         check_budget(self.stats.insts, self.max_insts)?;
         let ex = self.state.step(self.program)?;
         self.stats.insts += 1;
         record_ref(&mut self.stats, &ex);
+        let timing = self.pipe.advance_obs(&ex, &mut self.stats, obs);
         if let Some(chk) = &mut self.checker {
-            let info = self.pipe.advance_obs(&ex, &mut self.stats, obs);
-            chk.check_insn(&ex, &info)?;
-        } else {
-            self.pipe.advance_obs(&ex, &mut self.stats, obs);
+            chk.check_insn(&ex, &timing)?;
         }
-        Ok(true)
+        Ok(Some(crate::TracedInsn { pc: ex.pc, insn: ex.insn, timing }))
     }
 
     /// Runs to completion and produces the report.

@@ -733,7 +733,7 @@ impl Pipeline {
     }
 
     /// Like [`Pipeline::advance`] but returns the full per-instruction
-    /// timing — used by the tracing facilities ([`crate::Machine::run_traced`]).
+    /// timing, for driver loops outside [`crate::Session`].
     pub fn advance_traced(&mut self, ex: &Executed, stats: &mut SimStats) -> IssueInfo {
         self.advance_obs(ex, stats, &mut NullObserver)
     }

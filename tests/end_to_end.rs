@@ -46,6 +46,11 @@ fn instruction_count_is_timing_invariant() {
         assert_eq!(a.stats.insts, c.stats.insts, "{}", wl.name);
         assert_eq!(a.stats.loads, b.stats.loads, "{}", wl.name);
         assert_eq!(a.stats.stores, b.stats.stores, "{}", wl.name);
+        // Tracing is the same run, one record per committed instruction.
+        let (traced, trace) =
+            machine(MachineConfig::paper_baseline().with_fac()).run_traced(&p).unwrap();
+        assert_eq!(traced, b, "{}", wl.name);
+        assert_eq!(trace.len() as u64, b.stats.insts, "{}", wl.name);
     }
 }
 
