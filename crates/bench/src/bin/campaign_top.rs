@@ -22,6 +22,7 @@
 
 use fac_bench::serve::client::Client;
 use fac_bench::serve::proto::{Request, Response};
+use fac_bench::serve::server::PHASE_NAMES;
 use fac_bench::serve::Endpoint;
 use fac_bench::Args;
 use fac_sim::obs::Json;
@@ -197,7 +198,7 @@ fn render(doc: &Json, prev: Option<Counts>, interval: Duration) -> (String, Coun
     if let Some(latency) = doc.get("latency") {
         let _ = writeln!(out, "latency");
         latency_line(&mut out, "request", latency.get("request_us"));
-        for phase in ["queue", "coalesce", "simulate", "commit", "serialize"] {
+        for phase in PHASE_NAMES {
             latency_line(&mut out, phase, latency.get(&format!("{phase}_us")));
         }
     }

@@ -232,6 +232,9 @@ struct Shared {
     counters: FleetCounters,
     started: Instant,
     shutdown: Shutdown,
+    /// Set by [`Fleet::run`] once every client connection has finished:
+    /// the supervision thread's cue to drain the workers.
+    clients_done: Shutdown,
 }
 
 impl Shared {
@@ -315,6 +318,7 @@ impl Fleet {
             counters: FleetCounters::default(),
             started: Instant::now(),
             shutdown: Shutdown::new(),
+            clients_done: Shutdown::new(),
         });
 
         // Bind only once every worker answers, so the supervisor socket
@@ -394,18 +398,18 @@ impl Fleet {
             }
             clients.retain(|c| !c.is_finished());
         }
-        // Stop accepting, let in-flight clients finish, then drain the
-        // workers one at a time.
+        // Stop accepting, let in-flight clients finish, then let the
+        // supervision thread drain the workers one at a time.
         for c in clients {
             c.join().ok();
         }
+        self.shared.clients_done.trigger();
         if let Some(t) = self.supervision.take() {
             t.join().ok();
         }
         if let Some(t) = metrics_thread {
             t.join().ok();
         }
-        drain_workers(&self.shared);
         Ok(())
     }
 }
@@ -431,6 +435,14 @@ fn health_response(shared: &Arc<Shared>, path: &str) -> String {
 
 /// Spawns (or respawns) a worker process onto its socket, stdout/stderr
 /// appended to its log file.
+///
+/// On Linux the worker is bound to the supervisor's life: it asks for
+/// SIGTERM (a graceful drain) when its parent dies, so a supervisor
+/// killed -9 leaves no worker holding the shared store and its socket.
+/// The kernel sends that signal when the *thread* that spawned the
+/// worker exits, so only threads that outlive the fleet spawn workers:
+/// the one that calls [`Fleet::start`] (the supervisor's main thread)
+/// and the supervision thread, which drains the fleet before it exits.
 fn spawn_worker(opts: &FleetOptions, worker: &mut Worker) -> Result<(), SimError> {
     let log = std::fs::OpenOptions::new()
         .create(true)
@@ -449,6 +461,8 @@ fn spawn_worker(opts: &FleetOptions, worker: &mut Worker) -> Result<(), SimError
     if opts.test_cells {
         cmd.arg("--test-cells");
     }
+    #[cfg(target_os = "linux")]
+    die_with_parent(&mut cmd);
     // One scrubber per fleet: the store is shared, so worker 0 scrubbing
     // covers everyone's frames.
     if worker.index == 0 && opts.scrub_interval_secs > 0 {
@@ -460,6 +474,35 @@ fn spawn_worker(opts: &FleetOptions, worker: &mut Worker) -> Result<(), SimError
     worker.state = WorkerState::Starting;
     worker.started_at = Instant::now();
     Ok(())
+}
+
+/// Makes the child ask for SIGTERM when its parent dies, and exit at once
+/// if the parent died before the request took effect (the child is then
+/// already reparented, so its parent pid no longer names the supervisor).
+#[cfg(target_os = "linux")]
+fn die_with_parent(cmd: &mut Command) {
+    use std::os::unix::process::CommandExt;
+    extern "C" {
+        fn prctl(option: i32, arg2: u64, arg3: u64, arg4: u64, arg5: u64) -> i32;
+        fn getppid() -> i32;
+    }
+    const PR_SET_PDEATHSIG: i32 = 1;
+    let supervisor = std::process::id() as i32;
+    // SAFETY: the closure runs in the forked child before exec, allocates
+    // nothing, and makes only the async-signal-safe prctl(2) and
+    // getppid(2) calls.
+    unsafe {
+        cmd.pre_exec(move || {
+            if prctl(PR_SET_PDEATHSIG, SIGTERM as u64, 0, 0, 0) != 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            if getppid() != supervisor {
+                // ESRCH; a raw OS error, because the child may not allocate.
+                return Err(std::io::Error::from_raw_os_error(3));
+            }
+            Ok(())
+        });
+    }
 }
 
 /// Kills and reaps every spawned child: the bail-out path when
@@ -863,6 +906,13 @@ fn supervise(shared: &Arc<Shared>) {
             heartbeat_pass(shared);
         }
     }
+    // The workers this thread respawned get their parent-death signal
+    // when it exits (see `spawn_worker`), so it drains them itself rather
+    // than exiting while clients may still be forwarding to them.
+    while !shared.clients_done.is_set() {
+        std::thread::sleep(POLL);
+    }
+    drain_workers(shared);
 }
 
 /// Detects exited children, schedules respawns, performs due respawns,

@@ -14,14 +14,12 @@ use super::proto::{
     parse_response, read_line, render_request, CellRequest, ErrorKind, LineEvent, Request,
     Response,
 };
-use super::{
-    config_by_name, scale_name, sw_support, Conn, Endpoint, CONFIG_NAMES,
-};
+use super::{built_program, named_config, scale_name, Conn, Endpoint, CONFIG_NAMES};
 use crate::chaos::Backoff;
 use crate::telemetry::Hist;
 use crate::lock;
 use fac_sim::obs::Json;
-use fac_sim::{config_fingerprint, program_fingerprint, SimError};
+use fac_sim::SimError;
 use fac_workloads::Scale;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -535,12 +533,8 @@ pub fn cell_request(workload: &str, config: &str, scale: Scale) -> CellRequest {
         program_fp: None,
         trace_id: Some(format!("sweep.{workload}.{config}.{}", scale_name(scale))),
     };
-    if let Some(cfg) = config_by_name(config) {
-        req.config_fp = Some(config_fingerprint(&cfg));
-    }
-    if let Some(wl) = fac_workloads::find(workload) {
-        req.program_fp = Some(program_fingerprint(&wl.build(&sw_support(true), scale)));
-    }
+    req.config_fp = named_config(config).map(|(_, fp)| fp);
+    req.program_fp = built_program(workload, true, scale).map(|(_, fp)| fp);
     req
 }
 

@@ -36,13 +36,16 @@ pub mod proto;
 pub mod server;
 pub mod store;
 
-use fac_asm::SoftwareSupport;
-use fac_sim::{ConfigError, MachineConfig, SimError};
+use crate::lock;
+use fac_asm::{Program, SoftwareSupport};
+use fac_sim::{config_fingerprint, program_fingerprint, ConfigError, MachineConfig, SimError};
 use fac_workloads::Scale;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Where the server listens (or the client connects): `tcp:<host:port>`
@@ -310,6 +313,46 @@ pub fn config_by_name(name: &str) -> Option<MachineConfig> {
 /// and the client sweep.
 pub const CONFIG_NAMES: &[&str] = &["baseline", "fac"];
 
+/// [`config_by_name`] plus the configuration's fingerprint, computed once
+/// per process for each [`CONFIG_NAMES`] entry.
+pub fn named_config(name: &str) -> Option<(MachineConfig, u64)> {
+    static CATALOG: OnceLock<Vec<(MachineConfig, u64)>> = OnceLock::new();
+    let index = CONFIG_NAMES.iter().position(|n| *n == name)?;
+    let catalog = CATALOG.get_or_init(|| {
+        CONFIG_NAMES
+            .iter()
+            .map(|n| {
+                let config = config_by_name(n).expect("catalog names resolve");
+                (config, config_fingerprint(&config))
+            })
+            .collect()
+    });
+    Some(catalog[index])
+}
+
+/// A built program and its [`program_fingerprint`].
+pub type BuiltProgram = (Arc<Program>, u64);
+
+/// The program the workload named `workload` builds with software support
+/// `sw` at `scale`, and its fingerprint. Builds are deterministic, so each
+/// is built and fingerprinted once per process and then shared: the
+/// server's cell path and [`client::cell_request`] both read this memo,
+/// so a cache hit neither builds nor hashes a program. `None` for an
+/// unknown workload.
+pub fn built_program(workload: &str, sw: bool, scale: Scale) -> Option<BuiltProgram> {
+    static BUILT: OnceLock<Mutex<HashMap<String, BuiltProgram>>> = OnceLock::new();
+    let key = format!("{workload}:{}:{}", u8::from(sw), scale_name(scale));
+    let mut built = lock(BUILT.get_or_init(Mutex::default));
+    if let Some((program, fp)) = built.get(&key) {
+        return Some((Arc::clone(program), *fp));
+    }
+    let program = fac_workloads::find(workload)?.build(&sw_support(sw), scale);
+    let fp = program_fingerprint(&program);
+    let entry = (Arc::new(program), fp);
+    built.insert(key, entry.clone());
+    Some(entry)
+}
+
 /// The fingerprint of the whole configuration catalog: the FNV-1a chain
 /// of every named configuration's fingerprint, in catalog order. Two
 /// builds that would store incomparable cells have different catalog
@@ -319,9 +362,9 @@ pub fn catalog_fingerprint() -> u64 {
     use fac_core::snap::{fnv1a, FNV_OFFSET};
     let mut fp = FNV_OFFSET;
     for name in CONFIG_NAMES {
-        let config = config_by_name(name).expect("catalog names resolve");
+        let (_, config_fp) = named_config(name).expect("catalog names resolve");
         fp = fnv1a(fp, name.as_bytes());
-        fp = fnv1a(fp, &fac_sim::config_fingerprint(&config).to_le_bytes());
+        fp = fnv1a(fp, &config_fp.to_le_bytes());
     }
     fp
 }
@@ -440,6 +483,12 @@ mod tests {
             assert!(config_by_name(name).is_some(), "{name}");
         }
         assert!(config_by_name("warp-drive").is_none());
+        assert!(named_config("warp-drive").is_none());
+        for name in CONFIG_NAMES {
+            let (config, fp) = named_config(name).unwrap();
+            assert_eq!(Some(config), config_by_name(name), "{name}");
+            assert_eq!(fp, config_fingerprint(&config), "{name}");
+        }
         assert_eq!(scale_by_name("smoke"), Some(Scale::Smoke));
         assert_eq!(scale_by_name("paper"), Some(Scale::Paper));
         assert_eq!(scale_by_name("Smoke"), None);

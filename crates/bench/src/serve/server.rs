@@ -29,7 +29,8 @@
 //! and `run` returns `Ok` — exit code 0.
 //!
 //! **Telemetry** (DESIGN.md §12): every request is timed as a span split
-//! into queue / coalesce / simulate / commit / serialize phases and keyed
+//! into the [`PHASE_NAMES`] phases (resolve / lookup / queue / coalesce /
+//! simulate / commit / serialize) and keyed
 //! by a trace id (client-supplied or server-minted). The phase and total
 //! latencies land in mergeable [`Hist`]ograms served three ways: the
 //! `stats` response grows a `latency` object, `--metrics <addr>` serves
@@ -44,7 +45,7 @@ use super::proto::{
 };
 use super::store::{Lookup, Scrub, Store};
 use super::{
-    catalog_fingerprint, cell_identity, config_by_name, scale_name, sw_support, Conn, Endpoint,
+    built_program, catalog_fingerprint, cell_identity, named_config, scale_name, Conn, Endpoint,
     Listener, CONFIG_NAMES,
 };
 use crate::lock;
@@ -54,8 +55,7 @@ use crate::telemetry::{http_response, serve_http, Exposition, Hist};
 use fac_asm::Program;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::{Json, JsonlWriter};
-use fac_sim::{config_fingerprint, program_fingerprint, MachineConfig, SimError};
-use fac_workloads::Scale;
+use fac_sim::{MachineConfig, SimError};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -221,17 +221,23 @@ struct Counters {
     scrub_corrupt: AtomicU64,
 }
 
-/// Span phases, in request order. `queue` is everything before a role is
-/// decided (parse, resolve, store lookup, admission), `coalesce` is a
-/// follower's wait on the leader, `simulate` is the leader's run,
-/// `commit` is the store write + publish, `serialize` is rendering and
+/// Span phases, in request order: the names of the access log's `*_us`
+/// keys, the `stats` latency lanes and the `faccell_phase_us{phase=…}`
+/// labels. `resolve` maps names to the memoized configuration, program
+/// and fingerprints and cross-checks the client's; `lookup` is the store
+/// read; `queue` is coalesce registration and admission; `coalesce` is a
+/// follower's wait on the leader; `simulate` is the leader's run;
+/// `commit` is the store write + publish; `serialize` is rendering and
 /// writing the response line.
-const PHASE_NAMES: [&str; 5] = ["queue", "coalesce", "simulate", "commit", "serialize"];
-const QUEUE: usize = 0;
-const COALESCE: usize = 1;
-const SIMULATE: usize = 2;
-const COMMIT: usize = 3;
-const SERIALIZE: usize = 4;
+pub const PHASE_NAMES: [&str; 7] =
+    ["resolve", "lookup", "queue", "coalesce", "simulate", "commit", "serialize"];
+const RESOLVE: usize = 0;
+const LOOKUP: usize = 1;
+const QUEUE: usize = 2;
+const COALESCE: usize = 3;
+const SIMULATE: usize = 4;
+const COMMIT: usize = 5;
+const SERIALIZE: usize = 6;
 
 /// One request's telemetry: trace id, outcome, and per-phase wall clock.
 /// Phases that did not happen (a store hit never simulates) stay zero and
@@ -401,24 +407,12 @@ struct Shared {
     /// Simulations admitted (queued or running) right now.
     admitted: AtomicUsize,
     counters: Counters,
-    /// Built programs, keyed by `workload:sw:scale` — a sweep asks for
-    /// each program many times (two configs × repeat runs) and builds are
-    /// deterministic, so build once and share.
-    programs: Mutex<HashMap<String, Arc<Program>>>,
     telemetry: Telemetry,
 }
 
 impl Shared {
     fn bump(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn program(&self, workload: &fac_workloads::Workload, sw: bool, scale: Scale) -> Arc<Program> {
-        let key = format!("{}:{}:{}", workload.name, u8::from(sw), scale_name(scale));
-        lock(&self.programs)
-            .entry(key)
-            .or_insert_with(|| Arc::new(workload.build(&sw_support(sw), scale)))
-            .clone()
     }
 
     /// Passes the admission gate or sheds with a typed error.
@@ -535,7 +529,6 @@ impl Server {
                 inflight: Mutex::new(HashMap::new()),
                 admitted: AtomicUsize::new(0),
                 counters: Counters::default(),
-                programs: Mutex::new(HashMap::new()),
                 telemetry,
             }),
             shutdown: Shutdown::new(),
@@ -1017,7 +1010,7 @@ struct CellPlan {
 /// Resolves names to a concrete simulation plan and cross-checks the
 /// client's fingerprints.
 fn resolve(shared: &Arc<Shared>, cell: &CellRequest) -> Result<CellPlan, Response> {
-    let Some(config) = config_by_name(&cell.config) else {
+    let Some((config, config_fp)) = named_config(&cell.config) else {
         return Err(bad_request(format!(
             "unknown config '{}' (known: {})",
             cell.config,
@@ -1037,14 +1030,11 @@ fn resolve(shared: &Arc<Shared>, cell: &CellRequest) -> Result<CellPlan, Respons
         }
         (None, fnv1a(FNV_OFFSET, cell.workload.as_bytes()))
     } else {
-        let Some(workload) = fac_workloads::find(&cell.workload) else {
+        let Some((program, fp)) = built_program(&cell.workload, cell.sw, cell.scale) else {
             return Err(bad_request(format!("unknown workload '{}'", cell.workload)));
         };
-        let program = shared.program(&workload, cell.sw, cell.scale);
-        let fp = program_fingerprint(&program);
         (Some(program), fp)
     };
-    let config_fp = config_fingerprint(&config);
     if let Some(sent) = cell.config_fp {
         if sent != config_fp {
             return Err(bad_request(format!(
@@ -1071,30 +1061,30 @@ fn parse_sleep_ms(workload: &str) -> Option<u64> {
     workload.strip_prefix("__sleep:")?.parse().ok()
 }
 
-/// The cell path: store lookup, coalesce, admit, simulate, commit. Every
-/// exit fills the span's phase clocks and outcome; the `queue` phase is
-/// everything up to the point a role (hit / leader / follower / shed) is
-/// decided.
+/// The cell path: resolve, store lookup, coalesce, admit, simulate,
+/// commit. Every exit fills the span's phase clocks (see [`PHASE_NAMES`])
+/// and outcome.
 fn handle_cell(shared: &Arc<Shared>, cell: &CellRequest) -> (Response, Span) {
     let trace_id = cell.trace_id.clone().unwrap_or_else(|| shared.telemetry.mint());
     let echo = Some(trace_id.clone());
     let mut span = Span::new(trace_id, "bad_request");
     span.workload = Some(cell.workload.clone());
     span.config = Some(cell.config.clone());
-    let queued = Instant::now();
+    let resolving = Instant::now();
 
-    let plan = match resolve(shared, cell) {
+    let plan = resolve(shared, cell);
+    span.phases[RESOLVE] = resolving.elapsed();
+    let plan = match plan {
         Ok(plan) => plan,
-        Err(resp) => {
-            span.phases[QUEUE] = queued.elapsed();
-            return (with_trace(resp, &echo), span);
-        }
+        Err(resp) => return (with_trace(resp, &echo), span),
     };
 
-    match lock(&shared.store).get(plan.key) {
+    let looking = Instant::now();
+    let found = lock(&shared.store).get(plan.key);
+    span.phases[LOOKUP] = looking.elapsed();
+    match found {
         Ok(Lookup::Hit(result)) => {
             shared.bump(&shared.counters.hits);
-            span.phases[QUEUE] = queued.elapsed();
             span.outcome = "hit";
             return (
                 Response::Cell {
@@ -1131,6 +1121,7 @@ fn handle_cell(shared: &Arc<Shared>, cell: &CellRequest) -> (Response, Span) {
     // Coalesce with an in-flight simulation of the same key, or become
     // the leader (registering before the admission gate would let shed
     // requests strand followers on a leader that never ran).
+    let queued = Instant::now();
     enum Role {
         Leader(Arc<InFlight>),
         Follower(Arc<InFlight>),
@@ -1278,7 +1269,10 @@ fn simulate(shared: &Arc<Shared>, cell: &CellRequest, plan: &CellPlan) -> Result
 mod tests {
     use super::*;
     use crate::serve::proto::{parse_response, render_request};
+    use crate::serve::sw_support;
     use fac_sim::obs::json;
+    use fac_sim::{config_fingerprint, program_fingerprint};
+    use fac_workloads::Scale;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fac_serve_{tag}_{}", std::process::id()));
@@ -1827,7 +1821,10 @@ mod tests {
         assert!(body.contains("faccell_requests_total{outcome=\"hit\"} 1"), "{body}");
         assert!(body.contains("# TYPE faccell_request_us histogram"), "{body}");
         assert!(body.contains("faccell_request_us_bucket{le=\"+Inf\"}"), "{body}");
-        assert!(body.contains("faccell_phase_us_bucket{phase=\"simulate\","), "{body}");
+        for phase in ["resolve", "lookup", "queue", "simulate", "commit", "serialize"] {
+            let lane = format!("faccell_phase_us_bucket{{phase=\"{phase}\",");
+            assert!(body.contains(&lane), "{lane} missing: {body}");
+        }
         assert!(body.contains("faccell_uptime_seconds"), "{body}");
         // Cumulative buckets are monotone and end at _count.
         let buckets: Vec<u64> = body
@@ -1862,8 +1859,16 @@ mod tests {
             assert!(doc.get("outcome").is_some());
             assert!(doc.get("peer").is_some());
             assert!(doc.get("total_us").and_then(Json::as_u64).is_some());
-            assert!(doc.get("serialize_us").and_then(Json::as_u64).is_some());
+            for name in PHASE_NAMES {
+                assert!(doc.get(&format!("{name}_us")).and_then(Json::as_u64).is_some(), "{name}");
+            }
             assert!(matches!(doc.get("slow"), Some(Json::Bool(_))));
+        }
+        // A hit is decided at the lookup: it never queues, coalesces,
+        // simulates or commits.
+        let hit = json::parse(lines[2]).unwrap();
+        for name in ["queue", "coalesce", "simulate", "commit"] {
+            assert_eq!(hit.get(&format!("{name}_us")).and_then(Json::as_u64), Some(0), "{name}");
         }
         let outcomes: Vec<String> = lines
             .iter()

@@ -172,7 +172,24 @@ fn send_signal(pid: u64, signal: &str) {
 }
 
 fn pid_alive(pid: u64) -> bool {
-    Command::new("kill").args(["-0", &pid.to_string()]).status().unwrap().success()
+    Command::new("kill")
+        .args(["-0", &pid.to_string()])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap()
+        .success()
+}
+
+/// `true` once `pid` has exited: gone, or a zombie that its new parent
+/// (an orphaned worker is reparented) has not reaped yet.
+fn pid_exited(pid: u64) -> bool {
+    if !pid_alive(pid) {
+        return true;
+    }
+    // The state field follows the parenthesised command name.
+    std::fs::read_to_string(format!("/proc/{pid}/stat")).map_or(true, |stat| {
+        stat.rsplit(')').next().is_some_and(|rest| rest.trim_start().starts_with('Z'))
+    })
 }
 
 fn wait_exit(child: &mut Child, secs: u64) -> std::process::ExitStatus {
@@ -367,8 +384,14 @@ fn whole_fleet_kill_mid_sweep_resumes_from_the_store() {
     let committed = cell_files(&store).len();
     assert!(committed < 38, "the sweep finished before the kill");
     send_signal(u64::from(sup.id()), "KILL");
+    // The workers asked for SIGTERM on their parent's death: each drains
+    // and exits by itself.
+    let deadline = Instant::now() + Duration::from_secs(5);
     for (pid, _) in &pids {
-        send_signal(*pid, "KILL");
+        while !pid_exited(*pid) {
+            assert!(Instant::now() < deadline, "worker {pid} outlived its supervisor by 5 s");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
     // The client dies with its fleet, so only the re-run below can
     // finish the sweep.

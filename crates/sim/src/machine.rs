@@ -364,7 +364,8 @@ impl Machine {
         program: &'p Program,
         bytes: &[u8],
     ) -> Result<Session<'p>, SimError> {
-        self.restore_labelled(program, bytes, "<memory>")
+        let fps = crate::ckpt::Fingerprints::of(&self.config, program);
+        self.restore_labelled(program, bytes, "<memory>", fps)
     }
 
     /// Restores a [`Session`] from a snapshot file written by
@@ -381,14 +382,18 @@ impl Machine {
     ) -> Result<Session<'p>, SimError> {
         let label = path.display().to_string();
         let bytes = std::fs::read(path).map_err(|e| SimError::io(&label, e))?;
-        self.restore_labelled(program, &bytes, &label)
+        let fps = crate::ckpt::Fingerprints::of(&self.config, program);
+        self.restore_labelled(program, &bytes, &label, fps)
     }
 
-    fn restore_labelled<'p>(
+    /// Restores `bytes` (named `label` in errors), verifying them against
+    /// `fps`, which must be this machine's and `program`'s fingerprints.
+    pub(crate) fn restore_labelled<'p>(
         &self,
         program: &'p Program,
         bytes: &[u8],
         label: &str,
+        fps: crate::ckpt::Fingerprints,
     ) -> Result<Session<'p>, SimError> {
         use fac_core::snap::{SnapError, SnapReader};
         self.config.validate()?;
@@ -397,7 +402,7 @@ impl Machine {
         let mut r = SnapReader::new(payload);
 
         let config_fp = r.u64("config fingerprint").map_err(ck)?;
-        let want = crate::ckpt::config_fingerprint(&self.config);
+        let want = fps.config;
         if config_fp != want {
             return Err(ck(SnapError::new(format!(
                 "snapshot was taken under a different machine configuration \
@@ -405,7 +410,7 @@ impl Machine {
             ))));
         }
         let program_fp = r.u64("program fingerprint").map_err(ck)?;
-        let want = crate::ckpt::program_fingerprint(program);
+        let want = fps.program;
         if program_fp != want {
             return Err(ck(SnapError::new(format!(
                 "snapshot was taken over a different program \
