@@ -77,6 +77,12 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
+    /// A writer that appends to `buf`, keeping its contents and capacity:
+    /// a caller that encodes many snapshots reuses one buffer.
+    pub fn appending(buf: Vec<u8>) -> SnapWriter {
+        SnapWriter { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
